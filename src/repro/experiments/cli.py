@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--batch-trials", type=int, default=1, metavar="N",
                           help="train up to N same-spec trials together in "
                                "one stacked pass (bit-identical per trial; "
-                               "requires --workers 1 and no --trial-timeout)")
+                               "each worker runs one such chunk at a time)")
     campaign.add_argument("--journal", default=None, metavar="PATH",
                           help="append every trial to this JSONL journal "
                                "(suffixed per experiment when running "
@@ -410,14 +410,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.resume and args.journal is None:
         print("--resume requires --journal", file=sys.stderr)
-        return 2
-    if args.batch_trials > 1 and args.workers > 1:
-        print("--batch-trials requires --workers 1 (batched trials share "
-              "one in-process training pass)", file=sys.stderr)
-        return 2
-    if args.batch_trials > 1 and args.trial_timeout is not None:
-        print("--batch-trials is incompatible with --trial-timeout "
-              "(timeouts need process-per-trial isolation)", file=sys.stderr)
         return 2
     if args.telemetry:
         telemetry.configure(jsonl=args.telemetry)

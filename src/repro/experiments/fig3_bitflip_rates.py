@@ -38,12 +38,12 @@ from .common import (
     structural_findings_count,
     weights_root,
 )
-from .runner import TrialTask, batch_trial_kind, run_campaign, trial_kind
+from .runner import TrialTask, batch_trial_kind, trial_kind
 from .table5_single_bitflip import SAFE_FIRST_BIT
 
 # submodule import (not the package) so registration works while
 # repro.serve's own __init__ is still executing
-from ..serve.spec import CampaignSpec, coerce_spec, plan_builder
+from ..serve.spec import CampaignSpec, coerce_spec, plan_builder, run_spec
 
 EXPERIMENT_ID = "fig3"
 TITLE = "Fig 3: Accuracy vs epochs at different bit-flip rates"
@@ -204,8 +204,6 @@ def build_plan(spec: CampaignSpec, cache) -> list[TrialTask]:
                            cache, engine=spec.engine,
                            health_probe=spec.health_probe,
                            validate_checkpoints=spec.validate_checkpoints)
-    if spec.max_trials is not None:
-        tasks = tasks[: spec.max_trials]
     return tasks
 
 
@@ -234,25 +232,17 @@ def run(scale="tiny", seed: int = 42, pairs=DEFAULT_PAIRS,
     else:
         spec = coerce_spec(spec)
     cache = cache or DEFAULT_CACHE
-    scale, pairs, bitflips, trainings = _grid(spec)
-    seed = spec.seed
-
-    tasks, baselines = build_tasks(scale, seed, pairs, bitflips, trainings,
-                                   cache, engine=spec.engine,
-                                   health_probe=spec.health_probe,
-                                   validate_checkpoints=(
-                                       spec.validate_checkpoints))
-    if spec.max_trials is not None:
-        tasks = tasks[: spec.max_trials]
-    campaign = run_campaign(tasks, workers=workers, journal=journal,
-                            resume=resume, **spec.runner_kwargs())
+    scale, pairs, bitflips, _ = _grid(spec)
+    campaign = run_spec(spec, cache=cache, workers=workers, journal=journal,
+                        resume=resume)
     by_cell = group_records(campaign.record_dicts(),
                             ("framework", "model", "flips"))
 
     panels: dict[str, dict[str, list[float]]] = {}
     rows = []
     for framework, model in pairs:
-        _, baseline = baselines[(framework, model)]
+        baseline = cache.get(SessionSpec(framework, model, scale,
+                                         seed=spec.seed))
         series: dict[str, list[float]] = {
             "baseline": baseline.resumed_curve[: scale.resume_epochs],
         }

@@ -4,9 +4,10 @@ The paper's protocol is embarrassingly parallel — every experiment cell is
 N independent inject-and-resume trainings (§V-A: 250 per cell).  This module
 turns a harness's trial list into a *campaign*:
 
-* trials fan out over a ``multiprocessing`` worker pool (``workers=1`` keeps
-  the original in-process sequential path, bit-identical to the parallel one
-  because every trial is a pure function of its payload);
+* trials run as *chunks* — one trial, or a batch of same-group trials —
+  either in-process (``workers=1``) or in forked children (``workers>1``,
+  or any ``trial_timeout``); every trial is a pure function of its payload,
+  so all modes are bit-identical;
 * every terminal outcome is appended to a JSONL *journal* — an append-only
   record of (trial id, kind, payload, outcome, status, attempts, duration,
   worker) that survives ``kill -9`` mid-campaign;
@@ -22,7 +23,8 @@ up by name, so tasks stay picklable and journal records stay replayable.
 A kind may additionally register a *batched* executor with
 :func:`batch_trial_kind`: under ``batch_trials > 1`` the runner chunks
 same-group trials and amortizes their shared training pass
-(:mod:`repro.batched`), still journaling one ordinary record per trial.
+(:mod:`repro.batched`), still journaling one ordinary record per trial —
+with any number of workers.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import logging
 import os
 import time
 import traceback
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from multiprocessing import connection, get_context
 from typing import Callable, Iterable
@@ -278,9 +281,9 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     Parameters
     ----------
     workers:
-        ``1`` runs trials sequentially in-process (unless a timeout is set,
-        which needs subprocess isolation); ``>1`` fans out over a fork-based
-        worker pool.
+        ``1`` runs every chunk of trials in-process, one after another
+        (unless a timeout is set, which needs a child process to kill);
+        ``>1`` forks up to that many children at once.
     journal:
         JSONL path (or :class:`Journal`).  When given, every terminal record
         is appended as it happens.
@@ -288,28 +291,19 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
         Replay the journal first and skip trials that already have a
         terminal record.
     trial_timeout:
-        Seconds before an attempt is killed and counted as a timeout.
+        Seconds before an attempt is killed and counted as a timeout (a
+        batched chunk gets this much per trial).
     retries:
         Extra attempts after the first failure before the trial is
         journaled ``failed``.
     batch_trials:
-        ``> 1`` runs chunks of that many batchable trials (same kind, same
-        :func:`batch_trial_kind` group key) through the kind's batched
-        executor in-process, one journal record per trial as usual.
-        Incompatible with ``workers > 1`` and ``trial_timeout`` — the
-        batched path is in-process by design (the whole point is sharing
-        one training pass, which a process-per-trial pool cannot do).
+        ``> 1`` cuts batchable trials (same kind, same
+        :func:`batch_trial_kind` group key) into chunks of up to that many
+        and runs each chunk through the kind's batched executor — in-process
+        or in a forked worker, like any other chunk — journaling one record
+        per trial as usual.  A chunk that fails is re-run trial by trial.
     """
     tasks = list(tasks)
-    if batch_trials > 1:
-        if workers > 1:
-            raise ValueError(
-                "batch_trials > 1 requires workers=1 (batched trials share "
-                "one in-process training pass)")
-        if trial_timeout is not None:
-            raise ValueError(
-                "batch_trials > 1 is incompatible with trial_timeout "
-                "(timeouts need process-per-trial isolation)")
     seen: set[str] = set()
     for task in tasks:
         if task.trial_id in seen:
@@ -334,13 +328,8 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     with telemetry.span("campaign", workers=max(1, workers),
                         total=len(tasks), skipped=len(replayed),
                         batch_trials=max(1, batch_trials)) as campaign:
-        if batch_trials > 1:
-            fresh = _run_batched(todo, journal, batch_trials, retries)
-        elif workers <= 1 and trial_timeout is None:
-            fresh = _run_inline(todo, journal, retries)
-        else:
-            fresh = _run_pool(todo, journal, max(1, workers), trial_timeout,
-                              retries)
+        fresh = _execute(_cut_chunks(todo, batch_trials), journal,
+                         max(1, workers), trial_timeout, retries)
         wall_time = time.monotonic() - start
 
         by_id = dict(replayed)
@@ -358,7 +347,7 @@ def run_campaign(tasks: Iterable[TrialTask], *, workers: int = 1,
     return CampaignResult(records=records, stats=stats)
 
 
-# -- sequential path --------------------------------------------------------
+# -- the executor -----------------------------------------------------------
 
 def _dispatch_payload(task: TrialTask) -> dict:
     """The payload copy handed to a trial function.
@@ -372,152 +361,85 @@ def _dispatch_payload(task: TrialTask) -> dict:
     return {**task.payload, "trial_id": task.trial_id}
 
 
-def _run_inline(tasks: list[TrialTask], journal: Journal | None,
-                retries: int) -> dict[str, TrialRecord]:
-    results: dict[str, TrialRecord] = {}
-    for task in tasks:
-        func = get_trial_kind(task.kind)
-        record = None
-        started = time.monotonic()
-        with telemetry.span("trial", trial_id=task.trial_id,
-                            kind=task.kind) as span:
-            for attempt in range(1, retries + 2):
-                if attempt > 1:
-                    telemetry.count("runner.retries")
-                try:
-                    outcome = func(_dispatch_payload(task))
-                except Exception:
-                    record = TrialRecord(
-                        trial_id=task.trial_id, kind=task.kind,
-                        status="failed",
-                        error=traceback.format_exc(limit=8), attempts=attempt,
-                        payload=task.payload,
-                    )
-                    continue
-                record = TrialRecord(
-                    trial_id=task.trial_id, kind=task.kind, status="ok",
-                    outcome=outcome, attempts=attempt, payload=task.payload,
-                )
-                break
-            record.duration = time.monotonic() - started
-            record.finalize()
-            telemetry.count(f"runner.trials_{record.status}")
-            telemetry.count(f"runner.outcome_{record.outcome_class}")
-            span.set(status=record.status, attempts=record.attempts,
-                     queue_wait=0.0, run_time=record.duration, worker=0,
-                     outcome=record.outcome_class)
-            span.finish(record.status)
-        log.debug("trial %s: %s after %d attempt(s) in %.3fs",
-                  task.trial_id, record.status, record.attempts,
-                  record.duration)
-        results[task.trial_id] = record
-        if journal is not None:
-            journal.append(record)
-    return results
+@dataclass
+class _Chunk:
+    """The executor's unit of work: one trial, or (``batched``) a cut of
+    same-group trials run through the kind's batched executor.
 
-
-# -- batched path -----------------------------------------------------------
-
-def _run_batched(tasks: list[TrialTask], journal: Journal | None,
-                 batch_trials: int,
-                 retries: int) -> dict[str, TrialRecord]:
-    """Chunked in-process execution for ``batch_trials > 1``.
-
-    Batchable tasks are grouped by (kind, group key) — preserving task order
-    within a group — and cut into consecutive chunks of up to
-    ``batch_trials`` trials (a ragged tail is an ordinary smaller chunk).
-    Tasks whose kind has no batched executor run through the inline path
-    unchanged, as does any chunk whose executor raises: the fallback re-runs
-    that chunk's trials sequentially, which is outcome-identical by the
-    batch-kind contract, so a batch-level crash degrades to the sequential
-    campaign instead of failing N trials at once.
+    Only a single trial is ever retried — a failed batch is split instead
+    — so ``attempt`` and ``timed_out`` are per-trial bookkeeping.
     """
-    results: dict[str, TrialRecord] = {}
-    unbatched: list[TrialTask] = []
-    groups: dict[tuple[str, str], list[TrialTask]] = {}
+
+    tasks: list[TrialTask]
+    batched: bool = False
+    attempt: int = 1
+    timed_out: bool = False  # some attempt so far timed out
+    first_started: float | None = None
+    run_time: float = 0.0  # summed wall time of the attempts so far
+    span: object = telemetry.NOOP_SPAN  # "trial", or "trial_batch"
+    # the attempt in flight
+    started: float = 0.0
+    slot: int = 0
+    process: object = None
+    conn: object = None
+    deadline: float | None = None
+
+
+def _cut_chunks(tasks: list[TrialTask], batch_trials: int) -> list[_Chunk]:
+    """Cut *tasks* into chunks, ordered by each chunk's first task.
+
+    Under ``batch_trials > 1`` a kind with a :func:`batch_trial_kind`
+    executor is grouped by (kind, group key), task order kept within a
+    group, and each group cut into consecutive chunks of up to
+    ``batch_trials`` (a ragged tail is an ordinary smaller chunk).  Every
+    other task is a chunk of its own.
+    """
+    chunks: list[_Chunk] = []
+    open_chunks: dict[tuple[str, str], _Chunk] = {}
     for task in tasks:
-        batch_kind = BATCH_TRIAL_KINDS.get(task.kind)
+        batch_kind = (BATCH_TRIAL_KINDS.get(task.kind) if batch_trials > 1
+                      else None)
         if batch_kind is None:
-            unbatched.append(task)
-        else:
-            key = (task.kind, batch_kind.group_key(task.payload))
-            groups.setdefault(key, []).append(task)
-    if unbatched:
-        results.update(_run_inline(unbatched, journal, retries))
-    for (kind_name, _), group in groups.items():
-        func = BATCH_TRIAL_KINDS[kind_name].func
-        for cut in range(0, len(group), batch_trials):
-            chunk = group[cut:cut + batch_trials]
-            results.update(_run_chunk(chunk, func, journal, retries))
-    return results
+            chunks.append(_Chunk([task]))
+            continue
+        key = (task.kind, batch_kind.group_key(task.payload))
+        chunk = open_chunks.get(key)
+        if chunk is None or len(chunk.tasks) == batch_trials:
+            chunk = open_chunks[key] = _Chunk([], batched=True)
+            chunks.append(chunk)
+        chunk.tasks.append(task)
+    return chunks
 
 
-def _run_chunk(chunk: list[TrialTask],
-               func: Callable[[list[dict]], list[dict]],
-               journal: Journal | None,
-               retries: int) -> dict[str, TrialRecord]:
-    """One batched chunk -> one record per trial (or a sequential fallback).
+def _run_chunk(chunk: _Chunk) -> list[dict]:
+    """Run *chunk* in this process: one outcome per task, in order.
 
-    The chunk's wall-time is split evenly across its records: per-trial
-    attribution inside a shared training pass is meaningless, but the sum
-    over the journal must still equal the time actually spent.
+    The registries are read here, at dispatch, not at import, so an entry
+    swapped after this module loaded (a benchmark's timing wrapper) is
+    the one that runs.
     """
-    started = time.monotonic()
-    outcomes = None
-    with telemetry.span("trial_batch", kind=chunk[0].kind,
-                        size=len(chunk)) as span:
-        try:
-            outcomes = func([_dispatch_payload(task) for task in chunk])
-            if len(outcomes) != len(chunk):
-                raise ValueError(
-                    f"batch executor returned {len(outcomes)} outcomes "
-                    f"for {len(chunk)} trials")
-        except Exception:
-            log.warning("batch of %d %r trials failed; re-running them "
-                        "sequentially", len(chunk), chunk[0].kind,
-                        exc_info=True)
-            telemetry.count("runner.batch_fallbacks")
-            span.set(fallback=True)
-            span.finish("failed")
-        else:
-            span.set(fallback=False,
-                     run_time=time.monotonic() - started)
-            span.finish("ok")
-    if outcomes is None:
-        return _run_inline(list(chunk), journal, retries)
-    elapsed = time.monotonic() - started
-    results: dict[str, TrialRecord] = {}
-    for task, outcome in zip(chunk, outcomes):
-        record = TrialRecord(
-            trial_id=task.trial_id, kind=task.kind, status="ok",
-            outcome=outcome, attempts=1, duration=elapsed / len(chunk),
-            payload=task.payload,
-        )
-        record.finalize()
-        telemetry.count("runner.trials_ok")
-        telemetry.count(f"runner.outcome_{record.outcome_class}")
-        log.debug("trial %s: ok (batched, chunk of %d)",
-                  task.trial_id, len(chunk))
-        results[task.trial_id] = record
-        if journal is not None:
-            journal.append(record)
-    return results
+    kind = chunk.tasks[0].kind
+    payloads = [_dispatch_payload(task) for task in chunk.tasks]
+    with telemetry.activate(chunk.span):
+        if not chunk.batched:
+            return [get_trial_kind(kind)(payloads[0])]
+        outcomes = BATCH_TRIAL_KINDS[kind].func(payloads)
+    if len(outcomes) != len(payloads):
+        raise ValueError(f"batch executor returned {len(outcomes)} outcomes "
+                         f"for {len(payloads)} trials")
+    return outcomes
 
 
-# -- parallel path ----------------------------------------------------------
+def _child_main(conn, chunk: _Chunk) -> None:
+    """Forked entry point: run *chunk*, ship its outcomes over the pipe.
 
-def _child_main(conn, kind: str, payload: dict,
-                trace: dict | None = None) -> None:
-    """Worker entry point: run one trial, ship the outcome over the pipe.
-
-    *trace* is the parent-side trial span's exported context: adopting it
-    makes every span the trial opens (``inject``, ``train``, ``hdf5.open``)
-    a descendant of that trial span in the merged event stream.
+    The chunk's span comes through ``fork`` with the rest of the parent's
+    memory; :func:`_run_chunk` activates it, so every span the trials open
+    (``inject``, ``train``, ``hdf5.open``) is a descendant of the
+    parent-side ``trial``/``trial_batch`` span in the merged event stream.
     """
-    telemetry.adopt(trace)
     try:
-        outcome = get_trial_kind(kind)(payload)
-        conn.send(("ok", outcome))
+        conn.send(("ok", _run_chunk(chunk)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc(limit=8)))
@@ -528,200 +450,168 @@ def _child_main(conn, kind: str, payload: dict,
         conn.close()
 
 
-@dataclass
-class _Pending:
-    """A trial attempt waiting for a worker slot."""
+def _execute(chunks: list[_Chunk], journal: Journal | None, workers: int,
+             trial_timeout: float | None,
+             retries: int) -> dict[str, TrialRecord]:
+    """Run *chunks* to one terminal record per trial.
 
-    task: TrialTask
-    attempt: int = 1
-    timeouts: int = 0
-    first_started: float | None = None
-    run_time: float = 0.0  # attempt wall-time already spent (retries)
-    span: object = None  # parent-side trial span, opened at first fork
+    With ``workers == 1`` and no timeout every chunk runs in this process,
+    one after another.  Otherwise every attempt forks a child, up to
+    *workers* at a time: a crash or hang kills the child, never the
+    campaign, and a timeout is a simple ``terminate()``.
 
-
-@dataclass
-class _InFlight:
-    task: TrialTask
-    attempt: int
-    process: object
-    conn: object
-    deadline: float | None
-    started: float
-    first_started: float
-    slot: int
-    timeouts: int = 0
-    run_time: float = 0.0
-    span: object = telemetry.NOOP_SPAN
-
-
-def _run_pool(tasks: list[TrialTask], journal: Journal | None, workers: int,
-              trial_timeout: float | None,
-              retries: int) -> dict[str, TrialRecord]:
-    """Process-per-trial scheduler with timeouts and bounded retry.
-
-    One fork per attempt keeps trials fully isolated (a segfault or hang
-    kills the child, never the campaign) and makes timeout enforcement a
-    simple ``terminate()``.
+    One failure rule covers both.  A batched chunk that raises, crashes
+    or misses its deadline (``trial_timeout`` per trial) is split into
+    single trials at the front of the queue, which costs them no attempt.
+    A single trial that fails is retried up to *retries* times, then
+    journaled ``failed``.
     """
+    forked = workers > 1 or trial_timeout is not None
     ctx = get_context("fork")
-    results: dict[str, TrialRecord] = {}
-    pending: list[_Pending] = [_Pending(task=t) for t in tasks]
-    pending.reverse()  # pop() from the end preserves task order
-    inflight: list[_InFlight] = []
+    queue = deque(chunks)
+    running: list[_Chunk] = []
     free_slots = list(range(workers - 1, -1, -1))
-    pool_start = time.monotonic()
-    busy_seconds = 0.0  # summed attempt wall-time, for worker utilization
+    results: dict[str, TrialRecord] = {}
+    start = time.monotonic()
+    busy_seconds = 0.0  # summed attempt wall time, for worker utilization
 
-    def finish(flight: _InFlight, status: str, outcome: dict | None,
-               error: str | None, timed_out: bool, now: float) -> None:
+    def finish(chunk: _Chunk, task: TrialTask, status: str,
+               outcome: dict | None, error: str | None,
+               duration: float) -> None:
+        """Build, count, trace and journal one terminal record."""
         record = TrialRecord(
-            trial_id=flight.task.trial_id, kind=flight.task.kind,
-            status=status, outcome=outcome, error=error,
-            attempts=flight.attempt, timed_out=timed_out,
-            duration=now - flight.first_started,
-            worker=flight.slot, payload=flight.task.payload,
+            trial_id=task.trial_id, kind=task.kind, status=status,
+            outcome=outcome, error=error, attempts=chunk.attempt,
+            timed_out=chunk.timed_out, duration=duration, worker=chunk.slot,
+            payload=task.payload,
         )
         record.finalize()
         telemetry.count(f"runner.trials_{status}")
         telemetry.count(f"runner.outcome_{record.outcome_class}")
-        flight.span.set(
-            status=status, attempts=flight.attempt, worker=flight.slot,
-            timed_out=timed_out,
-            queue_wait=flight.first_started - pool_start,
-            run_time=flight.run_time + (now - flight.started),
-            outcome=record.outcome_class,
-        )
-        flight.span.finish(status)
+        if not chunk.batched:
+            chunk.span.set(
+                status=status, attempts=chunk.attempt, worker=chunk.slot,
+                timed_out=chunk.timed_out,
+                queue_wait=chunk.first_started - start,
+                run_time=chunk.run_time, outcome=record.outcome_class,
+            )
+            chunk.span.finish(status)
         log.debug("trial %s: %s after %d attempt(s) in %.3fs (worker %d)",
-                  record.trial_id, status, record.attempts, record.duration,
-                  flight.slot)
-        results[flight.task.trial_id] = record
+                  task.trial_id, status, chunk.attempt, duration, chunk.slot)
+        results[task.trial_id] = record
         if journal is not None:
             journal.append(record)
 
-    def retry_or_fail(flight: _InFlight, error: str, timed_out: bool,
-                      now: float) -> None:
-        if flight.attempt <= retries:
-            telemetry.count("runner.retries")
-            pending.append(_Pending(
-                task=flight.task, attempt=flight.attempt + 1,
-                timeouts=flight.timeouts + (1 if timed_out else 0),
-                first_started=flight.first_started,
-                run_time=flight.run_time + (now - flight.started),
-                span=flight.span,
-            ))
+    def settle(chunk: _Chunk, status: str, value, now: float,
+               timed_out: bool = False) -> None:
+        """Turn one finished attempt into records, a split or a retry."""
+        nonlocal busy_seconds
+        busy_seconds += now - chunk.started
+        chunk.run_time += now - chunk.started
+        free_slots.append(chunk.slot)
+        if status == "ok" and chunk.batched:
+            # per-trial attribution inside a shared training pass is
+            # meaningless, but the journal's durations must still sum to
+            # the time actually spent
+            chunk.span.set(fallback=False, run_time=chunk.run_time)
+            chunk.span.finish("ok")
+            for task, outcome in zip(chunk.tasks, value):
+                finish(chunk, task, "ok", outcome, None,
+                       chunk.run_time / len(chunk.tasks))
+        elif status == "ok":
+            finish(chunk, chunk.tasks[0], "ok", value[0], None,
+                   now - chunk.first_started)
+        elif chunk.batched:
+            log.warning("batch of %d %r trials failed; re-running them one "
+                        "by one:\n%s", len(chunk.tasks), chunk.tasks[0].kind,
+                        value)
+            telemetry.count("runner.batch_fallbacks")
+            chunk.span.set(fallback=True)
+            chunk.span.finish("failed")
+            queue.extendleft(_Chunk([task]) for task in reversed(chunk.tasks))
         else:
-            finish(flight, "failed", None, error, timed_out, now)
+            chunk.timed_out = chunk.timed_out or timed_out
+            if chunk.attempt <= retries:
+                telemetry.count("runner.retries")
+                chunk.attempt += 1
+                queue.appendleft(chunk)
+            else:
+                finish(chunk, chunk.tasks[0], "failed", None, value,
+                       now - chunk.first_started)
 
-    while pending or inflight:
-        while pending and free_slots:
-            item = pending.pop()
-            slot = free_slots.pop()
+    while queue or running:
+        while queue and free_slots:
+            chunk = queue.popleft()
             now = time.monotonic()
-            span = item.span
-            if span is None:
-                # the trial span covers first fork -> terminal record,
-                # spanning retries; workers parent their spans to it
-                span = telemetry.start_span(
-                    "trial", trial_id=item.task.trial_id,
-                    kind=item.task.kind,
-                )
+            chunk.slot = free_slots.pop()
+            chunk.started = now
+            if chunk.first_started is None:
+                # the span covers first dispatch -> terminal record, across
+                # retries; the trials' own spans nest under it
+                chunk.first_started = now
+                first = chunk.tasks[0]
+                chunk.span = (
+                    telemetry.start_span("trial_batch", kind=first.kind,
+                                         size=len(chunk.tasks))
+                    if chunk.batched else
+                    telemetry.start_span("trial", trial_id=first.trial_id,
+                                         kind=first.kind))
+            if not forked:
+                try:
+                    status, value = "ok", _run_chunk(chunk)
+                except Exception:
+                    status, value = "error", traceback.format_exc(limit=8)
+                settle(chunk, status, value, time.monotonic())
+                continue
             parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_child_main,
-                args=(child_conn, item.task.kind,
-                      _dispatch_payload(item.task), span.context()),
-            )
-            proc.start()
+            chunk.process = ctx.Process(target=_child_main,
+                                        args=(child_conn, chunk))
+            chunk.process.start()
             child_conn.close()
-            inflight.append(_InFlight(
-                task=item.task, attempt=item.attempt, process=proc,
-                conn=parent_conn,
-                deadline=(None if trial_timeout is None
-                          else now + trial_timeout),
-                started=now,
-                first_started=item.first_started
-                if item.first_started is not None else now,
-                slot=slot, timeouts=item.timeouts, run_time=item.run_time,
-                span=span,
-            ))
+            chunk.conn = parent_conn
+            chunk.deadline = (None if trial_timeout is None
+                              else now + trial_timeout * len(chunk.tasks))
+            running.append(chunk)
+        if not running:
+            continue
 
-        ready = connection.wait([f.conn for f in inflight], timeout=0.05)
+        ready = connection.wait([c.conn for c in running], timeout=0.05)
         now = time.monotonic()
-        still: list[_InFlight] = []
-        for flight in inflight:
-            done = False
+        still: list[_Chunk] = []
+        for chunk in running:
             # a child may exit between connection.wait and this check with
             # its result still buffered in the pipe — poll before trusting
-            # the exit code, or a completed trial gets retried as crashed.
-            if flight.conn in ready or flight.conn.poll(0):
+            # the exit code, or a completed chunk gets retried as crashed.
+            if chunk.conn in ready or chunk.conn.poll(0):
                 try:
-                    status, value = flight.conn.recv()
+                    status, value = chunk.conn.recv()
                 except (EOFError, OSError):
                     # child died without reporting (crash / os._exit)
                     status, value = "error", "worker died without a result"
                     telemetry.count("runner.worker_crashes")
-                flight.process.join()
-                flight.conn.close()
-                if status == "ok":
-                    rec = TrialRecord(
-                        trial_id=flight.task.trial_id, kind=flight.task.kind,
-                        status="ok", outcome=value, attempts=flight.attempt,
-                        timed_out=flight.timeouts > 0,
-                        duration=now - flight.first_started,
-                        worker=flight.slot, payload=flight.task.payload,
-                    )
-                    rec.finalize()
-                    telemetry.count("runner.trials_ok")
-                    telemetry.count(f"runner.outcome_{rec.outcome_class}")
-                    flight.span.set(
-                        status="ok", attempts=flight.attempt,
-                        worker=flight.slot, timed_out=flight.timeouts > 0,
-                        queue_wait=flight.first_started - pool_start,
-                        run_time=flight.run_time + (now - flight.started),
-                        outcome=rec.outcome_class,
-                    )
-                    flight.span.finish("ok")
-                    log.debug("trial %s: ok after %d attempt(s) in %.3fs "
-                              "(worker %d)", rec.trial_id, rec.attempts,
-                              rec.duration, flight.slot)
-                    results[flight.task.trial_id] = rec
-                    if journal is not None:
-                        journal.append(rec)
-                else:
-                    retry_or_fail(flight, value, timed_out=False, now=now)
-                done = True
-            elif flight.process.exitcode is not None:
+                chunk.process.join()
+                chunk.conn.close()
+                settle(chunk, status, value, now)
+            elif chunk.process.exitcode is not None:
                 # exited without sending anything
-                flight.conn.close()
+                chunk.conn.close()
                 telemetry.count("runner.worker_crashes")
-                retry_or_fail(
-                    flight,
-                    f"worker exited with code {flight.process.exitcode} "
-                    "before reporting a result",
-                    timed_out=False, now=now,
-                )
-                done = True
-            elif flight.deadline is not None and now > flight.deadline:
-                flight.process.terminate()
-                flight.process.join()
-                flight.conn.close()
+                settle(chunk, "error",
+                       f"worker exited with code {chunk.process.exitcode} "
+                       "before reporting a result", now)
+            elif chunk.deadline is not None and now > chunk.deadline:
+                chunk.process.terminate()
+                chunk.process.join()
+                chunk.conn.close()
                 telemetry.count("runner.timeouts")
-                retry_or_fail(
-                    flight,
-                    f"trial timed out after {now - flight.started:.1f}s",
-                    timed_out=True, now=now,
-                )
-                done = True
-            if done:
-                busy_seconds += now - flight.started
-                free_slots.append(flight.slot)
+                settle(chunk, "error",
+                       f"trial timed out after {now - chunk.started:.1f}s",
+                       now, timed_out=True)
             else:
-                still.append(flight)
-        inflight = still
+                still.append(chunk)
+        running = still
 
-    elapsed = time.monotonic() - pool_start
+    elapsed = time.monotonic() - start
     if elapsed > 0:
         telemetry.gauge("runner.worker_utilization",
                         busy_seconds / (workers * elapsed))

@@ -37,11 +37,11 @@ from .common import (
     structural_findings_count,
     weights_root,
 )
-from .runner import TrialTask, batch_trial_kind, run_campaign, trial_kind
+from .runner import TrialTask, batch_trial_kind, trial_kind
 
 # submodule import (not the package) so registration works while
 # repro.serve's own __init__ is still executing
-from ..serve.spec import CampaignSpec, coerce_spec, plan_builder
+from ..serve.spec import CampaignSpec, coerce_spec, plan_builder, run_spec
 
 EXPERIMENT_ID = "table5"
 TITLE = "Table V: Model sensitivity to 1 bit-flip (RWC)"
@@ -198,8 +198,6 @@ def build_plan(spec: CampaignSpec, cache) -> list[TrialTask]:
                            engine=spec.engine,
                            health_probe=spec.health_probe,
                            validate_checkpoints=spec.validate_checkpoints)
-    if spec.max_trials is not None:
-        tasks = tasks[: spec.max_trials]
     return tasks
 
 
@@ -229,18 +227,9 @@ def run(scale="tiny", seed: int = 42,
         spec = coerce_spec(spec)
     cache = cache or DEFAULT_CACHE
     scale, frameworks, models = _grid(spec)
-    seed = spec.seed
     trainings = scale.trainings
-
-    tasks, baselines = build_tasks(scale, seed, frameworks, models, cache,
-                                   engine=spec.engine,
-                                   health_probe=spec.health_probe,
-                                   validate_checkpoints=(
-                                       spec.validate_checkpoints))
-    if spec.max_trials is not None:
-        tasks = tasks[: spec.max_trials]
-    campaign = run_campaign(tasks, workers=workers, journal=journal,
-                            resume=resume, **spec.runner_kwargs())
+    campaign = run_spec(spec, cache=cache, workers=workers, journal=journal,
+                        resume=resume)
     by_cell = group_records(campaign.record_dicts(), ("model", "framework"))
 
     headers = ["Model", "Trainings"]
@@ -251,7 +240,8 @@ def run(scale="tiny", seed: int = 42,
     for model in models:
         row: list[object] = [model, trainings]
         for framework in frameworks:
-            baseline = baselines[(model, framework)]
+            baseline = cache.get(SessionSpec(framework, model, scale,
+                                             seed=spec.seed))
             reference = baseline.resumed_curve[:1]
             curves = [record["outcome"]["finals"]
                       for record in by_cell.get((model, framework), ())

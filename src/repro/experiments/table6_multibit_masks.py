@@ -34,11 +34,11 @@ from .common import (
     structural_findings_count,
     weights_root,
 )
-from .runner import TrialTask, batch_trial_kind, run_campaign, trial_kind
+from .runner import TrialTask, batch_trial_kind, trial_kind
 
 # submodule import (not the package) so registration works while
 # repro.serve's own __init__ is still executing
-from ..serve.spec import CampaignSpec, coerce_spec, plan_builder
+from ..serve.spec import CampaignSpec, coerce_spec, plan_builder, run_spec
 
 EXPERIMENT_ID = "table6"
 TITLE = "Table VI: Multi-bit mask applied to DL framework training"
@@ -200,8 +200,6 @@ def build_plan(spec: CampaignSpec, cache) -> list[TrialTask]:
                            trainings, cache, engine=spec.engine,
                            health_probe=spec.health_probe,
                            validate_checkpoints=spec.validate_checkpoints)
-    if spec.max_trials is not None:
-        tasks = tasks[: spec.max_trials]
     return tasks
 
 
@@ -230,18 +228,9 @@ def run(scale="tiny", seed: int = 42, frameworks=DEFAULT_FRAMEWORKS,
     else:
         spec = coerce_spec(spec)
     cache = cache or DEFAULT_CACHE
-    scale, frameworks, model, masks, trainings = _grid(spec)
-    seed = spec.seed
-
-    tasks, baselines = build_tasks(scale, seed, frameworks, model, masks,
-                                   trainings, cache, engine=spec.engine,
-                                   health_probe=spec.health_probe,
-                                   validate_checkpoints=(
-                                       spec.validate_checkpoints))
-    if spec.max_trials is not None:
-        tasks = tasks[: spec.max_trials]
-    campaign = run_campaign(tasks, workers=workers, journal=journal,
-                            resume=resume, **spec.runner_kwargs())
+    scale, frameworks, model, masks, _ = _grid(spec)
+    campaign = run_spec(spec, cache=cache, workers=workers, journal=journal,
+                        resume=resume)
     by_cell = group_records(campaign.record_dicts(), ("framework", "mask"))
 
     headers = ["Bits", "Mask"]
@@ -252,7 +241,8 @@ def run(scale="tiny", seed: int = 42, frameworks=DEFAULT_FRAMEWORKS,
     # row 0: error-free accuracy (the paper's all-zero mask row)
     row0: list[object] = [0, "00000000"]
     for framework in frameworks:
-        reference = baselines[framework][1].resumed_curve
+        reference = cache.get(SessionSpec(framework, model, scale,
+                                          seed=spec.seed)).resumed_curve
         final = reference[min(scale.resume_epochs, len(reference)) - 1]
         row0.extend([round(100.0 * final, 1), ""])
     rows.append(row0)

@@ -92,8 +92,9 @@ class CampaignSpec:
     engine:
         Injector apply path for every trial (``scalar`` | ``vectorized``).
     batch_trials:
-        ``> 1`` stacks that many same-group trials into one shared
-        training pass (:mod:`repro.batched`).
+        ``> 1`` stacks up to that many same-group trials into one shared
+        training pass (:mod:`repro.batched`).  Composes with any number of
+        workers and with ``trial_timeout``, which a chunk gets per trial.
     health_probe / validate_checkpoints:
         Per-trial observability/validation flags, forwarded verbatim into
         trial payloads.
@@ -156,10 +157,6 @@ class CampaignSpec:
             raise ValueError("batch_trials must be a positive integer")
         if self.trial_timeout is not None and not self.trial_timeout > 0:
             raise ValueError("trial_timeout must be positive when set")
-        if self.batch_trials > 1 and self.trial_timeout is not None:
-            raise ValueError(
-                "batch_trials > 1 is incompatible with trial_timeout "
-                "(timeouts need process-per-trial isolation)")
         if not isinstance(self.retries, int) or self.retries < 0:
             raise ValueError("retries must be a non-negative integer")
         if not isinstance(self.priority, int) or isinstance(self.priority,

@@ -14,11 +14,12 @@ Span semantics:
 * :func:`start_span` creates a *detached* span that does not join the
   context stack; the campaign runner uses it to keep one span per in-flight
   trial open concurrently, finishing each by hand.
+* :func:`activate` makes a detached span ambient for a block without
+  finishing it; a forked worker activates its inherited copy of the
+  parent-side trial span, which is how that span becomes the parent of the
+  ``inject``/``train`` spans opened inside the worker.
 * :meth:`Span.context` exports the minimal trace context (trace id +
-  span id) as a JSON-safe dict; :func:`adopt` installs it as the ambient
-  parent in another process, which is how a trial span opened in the
-  campaign parent becomes the parent of the ``inject``/``train`` spans
-  opened inside a forked worker.
+  span id) as a JSON-safe dict, for parents that are not in memory.
 
 Crossing *process and host* boundaries (not just ``fork``) goes through
 the explicit :class:`TraceContext` carrier: the submitting side exports
@@ -195,7 +196,8 @@ class Span:
 
 
 class _RemoteParent:
-    """Stand-in for a span living in another process (see :func:`adopt`)."""
+    """Stand-in for a span living in another process (see
+    :func:`trace_scope`)."""
 
     __slots__ = ("span_id",)
 
@@ -412,15 +414,22 @@ def trace_scope(trace: "TraceContext | dict | None" = None, *,
                 tee.close()
 
 
-def adopt(trace: dict | None) -> None:
-    """Install an inherited trace context as this process's ambient parent.
+@contextlib.contextmanager
+def activate(span: "Span | _NoopSpan"):
+    """Make a detached :func:`start_span` span ambient inside the block.
 
-    Called by forked campaign workers with the trial span's exported
-    context, so every span they open nests under the parent-side trial
-    span.  ``None`` (telemetry off in the parent) resets the ambient stack.
+    Unlike ``with span:``, leaving the block does not finish the span: the
+    campaign runner keeps one ``trial`` span open across retry attempts and
+    activates it around each attempt, in-process or in a forked child.
     """
-    span_id = (trace or {}).get("span_id")
-    _current.set(_RemoteParent(span_id) if span_id else None)
+    if not isinstance(span, Span):
+        yield span
+        return
+    token = _current.set(span)
+    try:
+        yield span
+    finally:
+        _current.reset(token)
 
 
 @contextlib.contextmanager

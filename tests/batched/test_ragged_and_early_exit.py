@@ -91,11 +91,17 @@ class TestChunking:
         assert [r.outcome["plain"] for r in result.records] == [0, 1, 2]
         assert all(r.status == "ok" for r in result.records)
 
-    def test_batch_trials_rejects_worker_pool(self):
-        with pytest.raises(ValueError, match="workers=1"):
-            run_campaign([], workers=4, batch_trials=2)
-        with pytest.raises(ValueError, match="trial_timeout"):
-            run_campaign([], trial_timeout=1.0, batch_trials=2)
+    def test_batch_trials_compose_with_worker_pool(self):
+        """Batched chunks run in forked workers, with or without a timeout,
+        and return the in-process outcomes in task order."""
+        tasks = make_tasks("synthetic-double", 7)
+        expected = [r.outcome for r in run_campaign(tasks,
+                                                    batch_trials=3).records]
+        for kwargs in ({"workers": 2}, {"trial_timeout": 60.0}):
+            result = run_campaign(tasks, batch_trials=3, **kwargs)
+            assert [r.trial_id for r in result.records] == \
+                [t.trial_id for t in tasks]
+            assert [r.outcome for r in result.records] == expected
 
 
 class TestAllCrashBatch:

@@ -58,6 +58,34 @@ class TestParallelEqualsSequential:
         assert parallel.rows == sequential.rows
 
 
+class TestWorkersTimesBatch:
+    def test_fig3_workers_and_batch_bit_identical_records(self, cache,
+                                                          tmp_path):
+        """Batched chunks in forked workers reproduce the sequential
+        campaign trial by trial: same status, outcome and outcome class."""
+        kwargs = dict(scale="smoke", cache=cache,
+                      pairs=(("chainer_like", "alexnet"),
+                             ("chainer_like", "vgg16")),
+                      bitflips=(1, 10))
+        journals = {mode: str(tmp_path / f"{mode}.jsonl")
+                    for mode in ("sequential", "workers_batch")}
+        sequential = run_experiment("fig3", workers=1, batch_trials=1,
+                                    journal=journals["sequential"], **kwargs)
+        combined = run_experiment("fig3", workers=2, batch_trials=4,
+                                  journal=journals["workers_batch"], **kwargs)
+        assert combined.rows == sequential.rows
+        assert combined.extra["campaign"]["failed"] == 0
+        seq, comb = ({r.trial_id: r for r in Journal(path).load()}
+                     for path in journals.values())
+        assert seq.keys() == comb.keys()
+        for trial_id, record in seq.items():
+            other = comb[trial_id]
+            assert (record.status, record.outcome_class) == \
+                (other.status, other.outcome_class)
+            assert json.dumps(record.outcome, sort_keys=True) == \
+                json.dumps(other.outcome, sort_keys=True), trial_id
+
+
 class TestHarnessResume:
     def test_table5_resume_after_partial_journal(self, cache, tmp_path):
         """Acceptance: re-invoking with resume after a mid-campaign kill

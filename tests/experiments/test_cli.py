@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro import telemetry
+from repro.experiments import cli
 from repro.experiments.cli import build_parser, campaign_kwargs, main
+from repro.experiments.common import ExperimentResult
 
 
 def test_list_command(capsys):
@@ -76,13 +78,23 @@ def test_unknown_experiment(capsys):
     assert "unknown experiments" in capsys.readouterr().err
 
 
-def test_batch_trials_flag_incompatibilities(capsys):
+def test_batch_trials_flag_composes_with_workers_and_timeout(monkeypatch):
+    """--batch-trials runs together with --workers and --trial-timeout:
+    the flags reach the campaign instead of being refused."""
+    calls = []
+
+    def fake_run_experiment(experiment_id, **kwargs):
+        calls.append(kwargs)
+        return ExperimentResult(experiment_id=experiment_id, title="fake",
+                                headers=[], rows=[], rendered="")
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
     assert main(["run", "fig3", "--scale", "smoke", "--batch-trials", "4",
-                 "--workers", "4"]) == 2
-    assert "--workers 1" in capsys.readouterr().err
-    assert main(["run", "fig3", "--scale", "smoke", "--batch-trials", "4",
-                 "--trial-timeout", "5"]) == 2
-    assert "--trial-timeout" in capsys.readouterr().err
+                 "--workers", "4", "--trial-timeout", "5"]) == 0
+    (kwargs,) = calls
+    assert kwargs["workers"] == 4
+    assert (kwargs["spec"].batch_trials, kwargs["spec"].trial_timeout) == \
+        (4, 5.0)
 
 
 def test_run_fig2_smoke(capsys):

@@ -580,3 +580,123 @@ class TestDispatchTrialIdStamp:
                               journal=str(tmp_path / "j.jsonl"))
         self.assert_stamped(result)
         assert all(r.outcome.get("batched") for r in result.records)
+
+
+# ---------------------------------------------------------------------------
+# One executor: timeout accounting, batched chunks in forked workers
+# ---------------------------------------------------------------------------
+
+
+@trial_kind("test_hang_then_raise")
+def _hang_then_raise(payload):
+    """Hangs on the first call (per marker file), raises on every later one."""
+    first = not os.path.exists(payload["marker"])
+    with open(payload["marker"], "a") as handle:
+        handle.write("x\n")
+    if first:
+        time.sleep(60)
+    raise RuntimeError("second attempt raised")
+
+
+def test_timed_out_means_any_attempt_timed_out(tmp_path):
+    """A trial whose first attempt times out and whose last attempt raises
+    is still journaled timed_out, and the campaign counts the timeout."""
+    journal = str(tmp_path / "j.jsonl")
+    tasks = [TrialTask("h", "test_hang_then_raise",
+                       {"marker": str(tmp_path / "calls")})]
+    result = run_campaign(tasks, workers=1, trial_timeout=1.0, retries=1,
+                          journal=journal)
+    record = result.records[0]
+    assert record.status == "failed"
+    assert record.attempts == 2
+    assert "second attempt raised" in record.error
+    assert record.timed_out
+    assert result.stats.timeouts == 1
+    assert Journal(journal).load()[0].timed_out
+
+
+@trial_kind("test_batch_victim")
+def _batch_victim(payload):
+    with open(payload["marker"], "a") as handle:
+        handle.write(f"{payload['value']}\n")
+    return {"value": payload["value"]}
+
+
+@batch_trial_kind("test_batch_victim", group_key=lambda p: p["mode"])
+def _batch_victim_batch(payloads):
+    if payloads[0]["mode"] == "crash":
+        os._exit(13)  # the whole forked chunk dies without a result
+    time.sleep(60)  # "hang": past any chunk deadline
+    return []
+
+
+def victim_tasks(n, mode, marker):
+    return [TrialTask(f"victim/{i}", "test_batch_victim",
+                      {"value": i, "mode": mode, "marker": marker})
+            for i in range(n)]
+
+
+@pytest.fixture
+def sink():
+    from repro import telemetry
+
+    sink = telemetry.InMemorySink()
+    telemetry.configure(sink)
+    yield sink
+    telemetry.shutdown()
+
+
+def fallbacks():
+    from repro import telemetry
+
+    return telemetry.pipeline().registry.counter_value(
+        "runner.batch_fallbacks")
+
+
+def test_batched_chunk_crash_in_worker_falls_back(tmp_path, sink):
+    """A batch executor that kills its forked worker splits each chunk into
+    single trials, which run once each and are journaled once each."""
+    journal = str(tmp_path / "j.jsonl")
+    marker = str(tmp_path / "calls")
+    result = run_campaign(victim_tasks(5, "crash", marker), workers=2,
+                          batch_trials=3, retries=0, journal=journal)
+    assert [r.outcome["value"] for r in result.records] == list(range(5))
+    assert all(r.ok and r.attempts == 1 for r in result.records)
+    assert fallbacks() == 2  # chunks of 3 and 2
+    ids = [r.trial_id for r in Journal(journal).load()]
+    assert sorted(ids) == [f"victim/{i}" for i in range(5)]
+    with open(marker) as handle:
+        assert sorted(int(line) for line in handle) == list(range(5))
+    batches = sink.spans("trial_batch")
+    assert [s["attrs"]["fallback"] for s in batches] == [True, True]
+    assert len(sink.spans("trial")) == 5
+
+
+def test_batched_chunk_deadline_scales_with_size(tmp_path, sink):
+    """A chunk that hangs past trial_timeout x len(chunk) is killed, split,
+    and completed trial by trial — a split is not a timed-out attempt."""
+    marker = str(tmp_path / "calls")
+    start = time.monotonic()
+    result = run_campaign(victim_tasks(2, "hang", marker), workers=1,
+                          batch_trials=2, trial_timeout=1.0, retries=0)
+    assert time.monotonic() - start < 30
+    assert [r.outcome["value"] for r in result.records] == [0, 1]
+    assert not any(r.timed_out for r in result.records)
+    assert result.stats.timeouts == 0
+    assert fallbacks() == 1
+    (batch,) = sink.spans("trial_batch")
+    assert batch["dur"] >= 2.0  # the deadline was 2 x 1.0 s
+
+
+def test_in_process_chunks_never_fork(monkeypatch):
+    """workers=1 without a timeout runs every chunk in this process."""
+    def no_fork():
+        raise AssertionError("the in-process executor forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    tasks = [TrialTask(f"stamp/{i}", "test_echo_trial_id", {"value": i})
+             for i in range(5)]
+    result = run_campaign(tasks, batch_trials=2)
+    assert all(r.outcome.get("batched") for r in result.records)
+    result = run_campaign(echo_tasks(3))
+    assert [r.outcome["value"] for r in result.records] == [0, 1, 2]

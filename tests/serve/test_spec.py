@@ -30,7 +30,7 @@ class TestValidation:
         {"seed": True},
         {"engine": "quantum"},
         {"batch_trials": 0},
-        {"batch_trials": 2, "trial_timeout": 5.0},
+        {"batch_trials": 2.5},
         {"trial_timeout": 0.0},
         {"retries": -1},
         {"priority": 1.5},
@@ -43,6 +43,11 @@ class TestValidation:
         payload = {"kind": "fig3", **overrides}
         with pytest.raises(ValueError):
             CampaignSpec(**payload)
+
+    def test_batch_trials_compose_with_trial_timeout(self):
+        spec = CampaignSpec(kind="fig3", batch_trials=2, trial_timeout=5.0)
+        assert spec.runner_kwargs() == {"trial_timeout": 5.0, "retries": 1,
+                                        "batch_trials": 2}
 
     def test_params_must_be_json_serializable(self):
         with pytest.raises(ValueError, match="JSON"):
@@ -88,8 +93,6 @@ class TestSerialization:
         assert list(payload) == sorted(payload)
 
 
-#: trial_timeout stays None: pairing it with batch_trials > 1 is the one
-#: intentionally invalid combination.
 SPEC_PAYLOADS = st.fixed_dictionaries({
     "kind": st.sampled_from(["fig3", "table5", "table6", "custom_kind"]),
     "scale": st.sampled_from(["smoke", "tiny", "small", "paper"]),
@@ -99,6 +102,8 @@ SPEC_PAYLOADS = st.fixed_dictionaries({
     "health_probe": st.booleans(),
     "validate_checkpoints": st.booleans(),
     "retries": st.integers(0, 9),
+    "trial_timeout": st.one_of(st.none(),
+                               st.floats(0.001, 1e6, allow_nan=False)),
     "priority": st.integers(-100, 100),
     "max_trials": st.one_of(st.none(), st.integers(1, 10**6)),
     "params": st.dictionaries(

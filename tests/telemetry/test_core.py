@@ -101,19 +101,25 @@ def test_start_span_accepts_context_dict_parent():
     assert child_event["parent_id"] == parent.span_id
 
 
-def test_adopt_installs_remote_parent():
+def test_activate_makes_span_ambient_without_finishing():
     sink = telemetry.InMemorySink()
     telemetry.configure(sink)
-    telemetry.adopt({"trace_id": "tr", "span_id": "dead.1"})
-    with telemetry.span("child"):
-        pass
-    (event,) = sink.spans("child")
-    assert event["parent_id"] == "dead.1"
-    telemetry.adopt(None)  # reset
-    with telemetry.span("orphan"):
+    trial = telemetry.start_span("trial")
+    for _ in range(2):  # one span across two attempts
+        with telemetry.activate(trial):
+            with telemetry.span("child"):
+                pass
+    assert sink.spans("trial") == []  # still open
+    assert [e["parent_id"] for e in sink.spans("child")] == \
+        [trial.span_id] * 2
+    with telemetry.span("orphan"):  # the block restored the old parent
         pass
     (orphan,) = sink.spans("orphan")
     assert orphan["parent_id"] is None
+    trial.finish()
+    assert len(sink.spans("trial")) == 1
+    with telemetry.activate(telemetry.NOOP_SPAN):  # telemetry-off spans
+        assert telemetry.current_trace().span_id is None
 
 
 def test_remote_parent_carries_span_id():
