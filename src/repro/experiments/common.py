@@ -24,12 +24,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .. import hdf5
 from ..batched import run_stacked_training
-from ..data import synthetic_cifar10
+from ..data import DatasetSplit, synthetic_cifar10
 from ..frameworks import get_facade, set_global_determinism
 from ..health import ModelHealthProbe, last_finite
-from ..nn import SGD, Trainer
+from ..nn import SGD, Trainer, rng
 from ..nn.model import Model
 from .locking import FileLock
 
@@ -205,14 +204,36 @@ def spec_group_key(payload: dict) -> str:
     return json.dumps(payload.get("spec"), sort_keys=True)
 
 
+#: Datasets :func:`make_dataset` keeps per process, most recent last.
+DATASET_MEMO_SIZE = 2
+_DATASETS: dict[tuple, tuple[DatasetSplit, DatasetSplit]] = {}
+
+
 def make_dataset(spec: SessionSpec):
-    """The deterministic train/test pair for a spec (after seeding)."""
+    """The deterministic train/test pair for a spec (after seeding).
+
+    The pair is a pure function of the active seed and stream namespace
+    (it draws only from the named ``data/train`` and ``data/test``
+    streams) and of its sizes, so it is generated once per process and
+    shared: the arrays come back read-only.
+    """
     size = spec.scale.model_image_size(spec.model)
-    return synthetic_cifar10(
-        train_size=spec.scale.train_size,
-        test_size=spec.scale.test_size,
-        image_size=size,
-    )
+    key = (rng.current_seed(), rng.current_namespace(),
+           spec.scale.train_size, spec.scale.test_size, size)
+    pair = _DATASETS.pop(key, None)
+    if pair is None:
+        pair = synthetic_cifar10(
+            train_size=spec.scale.train_size,
+            test_size=spec.scale.test_size,
+            image_size=size,
+        )
+        for split in pair:
+            split.images.flags.writeable = False
+            split.labels.flags.writeable = False
+    _DATASETS[key] = pair
+    while len(_DATASETS) > DATASET_MEMO_SIZE:
+        _DATASETS.pop(next(iter(_DATASETS)), None)
+    return pair
 
 
 def build_session_model(spec: SessionSpec) -> Model:
@@ -488,19 +509,11 @@ def resume_training_batched(spec: SessionSpec, checkpoint_paths: list[str],
     set_global_determinism(spec.framework, spec.seed)
     train, test = make_dataset(spec)
     models, optimizers, start_epochs = [], [], []
-    # Sibling checkpoints in a batch are byte-copies of one baseline whose
-    # corruption touched only dataset payloads, so their structure — and
-    # hence every dataset offset — is identical.  Parse the first file once
-    # and let the others borrow its metadata tree (the template is ignored
-    # for any checkpoint whose size differs).
-    template = hdf5.File(checkpoint_paths[0], "r")
     for path in checkpoint_paths:
         model = build_session_model(spec)
         optimizer = SGD(lr=spec.effective_learning_rate,
                         momentum=spec.momentum)
-        start_epochs.append(
-            facade.load_checkpoint(path, model, optimizer,
-                                   template=template))
+        start_epochs.append(facade.load_checkpoint(path, model, optimizer))
         models.append(model)
         optimizers.append(optimizer)
     if len(set(start_epochs)) != 1:

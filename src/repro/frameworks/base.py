@@ -95,21 +95,15 @@ class FrameworkFacade:
                     opt_group.create_dataset(key, data=np.asarray(value))
 
     def load_checkpoint(self, path: str, model: Model,
-                        optimizer: Optimizer | None = None,
-                        template: "hdf5.File | None" = None) -> int:
+                        optimizer: Optimizer | None = None) -> int:
         """Restore *model* (and optimizer, when present) from HDF5.
 
         Returns the stored epoch number.  Loading performs **no** validity
         check on values — corrupted weights (including NaN/Inf) flow straight
         into the model, exactly as a framework resuming from a silently
         corrupted checkpoint would.
-
-        *template* is an open :class:`repro.hdf5.File` structurally
-        byte-identical to *path* (sibling corrupted copies of one baseline);
-        it lets the reader skip re-parsing the checkpoint's metadata.  See
-        :class:`repro.hdf5.File`.
         """
-        with hdf5.File(path, "r", template=template) as f:
+        with hdf5.File(path, "r") as f:
             for layer in model.layers():
                 if not layer.params and not layer.state:
                     continue

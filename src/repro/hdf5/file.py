@@ -13,19 +13,32 @@ Supported modes:
     writes go straight to the on-disk bytes — exactly the operation a
     checkpoint corrupter needs — and :meth:`Dataset.view` can hand out
     writable arrays that alias the mapped storage with zero copies.
+
+Both read modes share a small per-process cache of parsed structures.  It
+rests on one invariant: **the parser reads no payload byte**.  A file's
+payload is every contiguous dataset's ``[data_offset, data_offset +
+data_size)`` and every chunk's ``[address, address + stored_size)``; the
+parser walks only the superblock, object headers, heaps and B-trees, all of
+which lie outside those ranges.  So two files of the same size whose
+non-payload bytes are equal parse to the same tree, whatever their payloads
+hold — and a fault campaign's corrupted copies of one baseline are exactly
+that.  An open checks the new file's non-payload bytes against each cached
+entry in one vectorized comparison and reuses the entry's tree only on an
+exact match, so no caller has to vouch for where a file came from.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .. import telemetry
 from .messages import AttributeValue
-from .reader import DatasetInfo, GroupInfo, parse_file
+from .reader import DatasetInfo, GroupInfo, iter_datasets, parse_file
 from .tree import DatasetNode, GroupNode
 from .writer import serialize_file
 
@@ -353,6 +366,11 @@ class Group:
         parts = [part for part in path.split("/") if part]
         if path.startswith("/"):
             return self._file["/".join(parts)] if parts else self._file.root
+        if not parts:
+            return self
+        if self._staged is None:
+            return self._file._lookup(
+                "/".join([self.name.rstrip("/")] + parts))
         node: Group | Dataset = self
         for part in parts:
             if not isinstance(node, Group):
@@ -370,12 +388,7 @@ class Group:
             if isinstance(child, GroupNode):
                 return Group(self._file, child_name, child, None)
             return Dataset(self._file, child_name, child, None)
-        if name in self._info.groups:
-            return Group(self._file, child_name, None, self._info.groups[name])
-        if name in self._info.datasets:
-            return Dataset(self._file, child_name, None,
-                           self._info.datasets[name])
-        raise KeyError(child_name)
+        return self._file._lookup(child_name)
 
     @property
     def attrs(self) -> AttributeManager:
@@ -471,28 +484,96 @@ class Group:
         return f"<repro.hdf5 Group {self.name!r} ({len(self.keys())} members)>"
 
 
-class File(Group):
-    """An open HDF5 file.  See module docstring for mode semantics.
+#: Parsed structures kept per process, most recently used first.  A campaign
+#: opens copies of a handful of baselines, so a few entries cover it.
+STRUCTURE_CACHE_SIZE = 4
 
-    *template* (read modes only) is another open :class:`File` whose
-    *structure* is byte-identical to this one — the situation a fault
-    campaign creates when it copies one baseline checkpoint N times and
-    flips bits in dataset payloads only.  Structure determines every
-    group/dataset offset, so the template's parsed metadata tree can be
-    borrowed instead of re-parsed; dataset *contents* still come from this
-    file's own bytes.  If the file sizes differ the template is ignored and
-    the file is parsed normally, but a same-sized file with genuinely
-    different structure would be misread — callers are responsible for the
-    provenance guarantee.
+
+@dataclass(eq=False)
+class _Structure:
+    """A parsed file structure plus the non-payload bytes it came from.
+
+    ``runs`` are the lengths of the file's alternating non-payload and
+    payload runs, starting with a non-payload run (length 0 when the file
+    starts with payload); ``metadata`` is the non-payload runs concatenated.
     """
 
-    def __init__(self, path: str | os.PathLike, mode: str = "r",
-                 template: "File | None" = None):
+    info: GroupInfo
+    index: dict[str, GroupInfo | DatasetInfo]
+    nbytes: int
+    runs: np.ndarray
+    metadata: np.ndarray
+
+    @classmethod
+    def parse(cls, raw: bytes) -> "_Structure":
+        info = parse_file(raw)
+        data = np.frombuffer(raw, dtype=np.uint8)
+        index: dict[str, GroupInfo | DatasetInfo] = {}
+        _index_tree(info, index)
+        keep = np.ones(data.size, dtype=bool)
+        for start, end in _payload_ranges(info):
+            keep[start:end] = False
+        edges = np.flatnonzero(keep[1:] != keep[:-1]) + 1
+        runs = np.diff(np.concatenate(
+            ([0, 0] if not keep[0] else [0], edges, [data.size])))
+        return cls(info, index, data.size, runs, data[keep])
+
+    def matches(self, data: np.ndarray) -> bool:
+        """Whether *data* has this structure's size and non-payload bytes."""
+        if data.size != self.nbytes:
+            return False
+        keep = np.repeat(np.arange(self.runs.size) % 2 == 0, self.runs)
+        return np.array_equal(data[keep], self.metadata)
+
+
+_STRUCTURES: list[_Structure] = []
+
+
+def _index_tree(group: GroupInfo,
+                index: dict[str, GroupInfo | DatasetInfo]) -> None:
+    index[group.path] = group
+    for dataset in group.datasets.values():
+        index[dataset.path] = dataset
+    for child in group.groups.values():
+        _index_tree(child, index)
+
+
+def _payload_ranges(info: GroupInfo) -> Iterator[tuple[int, int]]:
+    for dataset in iter_datasets(info):
+        if dataset.is_chunked:
+            for record in dataset.chunk_records:
+                yield record.address, record.address + record.stored_size
+        else:
+            yield dataset.data_offset, dataset.data_offset + dataset.data_size
+
+
+def _structure_of(raw: bytes) -> tuple[_Structure, bool]:
+    """The cached structure matching file bytes *raw*, else a fresh parse
+    of them; the flag says whether the structure was reused."""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    found = next((entry for entry in list(_STRUCTURES)
+                  if entry.matches(data)), None)
+    reused = found is not None
+    entry = found if reused else _Structure.parse(raw)
+    # No lock: threads racing here can at worst cache one structure twice
+    # or re-parse an evicted one, and every hit is verified by content.
+    try:
+        _STRUCTURES.remove(entry)
+    except ValueError:
+        pass  # a fresh parse, or evicted by another thread meanwhile
+    _STRUCTURES.insert(0, entry)
+    del _STRUCTURES[STRUCTURE_CACHE_SIZE:]
+    return entry, reused
+
+
+class File(Group):
+    """An open HDF5 file.  See module docstring for mode semantics."""
+
+    def __init__(self, path: str | os.PathLike, mode: str = "r"):
         self.filename = os.fspath(path)
         self.mode = mode
         self._closed = False
-        self._handle = None
-        self._nbytes: int | None = None
+        self._index: dict[str, GroupInfo | DatasetInfo] | None = None
         with telemetry.span("hdf5.open", mode=mode) as span:
             if mode == "w":
                 root = GroupNode()
@@ -501,16 +582,10 @@ class File(Group):
             elif mode in ("r", "r+"):
                 with open(self.filename, "rb") as handle:
                     raw = handle.read()
-                self._nbytes = len(raw)
-                info = None
-                if (template is not None
-                        and template._info is not None
-                        and template._nbytes == len(raw)):
-                    info = template._info
-                    span.set(structure_reused=True)
-                if info is None:
-                    info = parse_file(raw)
-                super().__init__(self, "/", None, info)
+                structure, reused = _structure_of(raw)
+                span.set(structure_reused=reused)
+                super().__init__(self, "/", None, structure.info)
+                self._index = structure.index
                 if mode == "r+":
                     # Map the whole file: Dataset.view() hands out dtype
                     # views of this array, and byte-level writes mutate it
@@ -519,7 +594,9 @@ class File(Group):
                     self._buffer = np.memmap(self.filename, dtype=np.uint8,
                                              mode="r+")
                 else:
-                    self._buffer = bytearray(raw)
+                    # immutable: "r" mode never writes, and every view of
+                    # it comes out read-only
+                    self._buffer = raw
                 span.set(bytes=len(raw))
             else:
                 raise ValueError(f"unsupported mode: {mode!r}")
@@ -527,6 +604,16 @@ class File(Group):
     @property
     def root(self) -> Group:
         return Group(self, "/", self._staged, self._info)
+
+    def _lookup(self, name: str) -> Group | Dataset:
+        """The parsed object at absolute path *name*, via the flat index."""
+        try:
+            info = self._index[name]
+        except KeyError:
+            raise KeyError(name) from None
+        if isinstance(info, GroupInfo):
+            return Group(self, name, None, info)
+        return Dataset(self, name, None, info)
 
     # -- byte-level access used by Dataset -----------------------------------
     def _read_bytes(self, offset: int, size: int) -> bytes:

@@ -251,7 +251,10 @@ def decode_attribute(reader: BinaryReader) -> AttributeValue:
     value = np.frombuffer(raw, dtype=dtype, count=count).reshape(shape)
     if shape == ():
         value = value.reshape(())
-    return AttributeValue(name, value.copy())
+    value = value.copy()
+    # parsed trees are shared between opens of same-structured files
+    value.flags.writeable = False
+    return AttributeValue(name, value)
 
 
 def attribute_message_size(attr: AttributeValue) -> int:

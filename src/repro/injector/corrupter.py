@@ -179,21 +179,21 @@ class CheckpointCorrupter:
             locations = expand_locations(handle, None)
         else:
             locations = expand_locations(handle, config.locations_to_corrupt)
-        locations = [
-            loc for loc in locations
-            if handle[loc].size > 0 and handle[loc].supports_inplace_writes
+        datasets = [
+            dataset for dataset in (handle[loc] for loc in locations)
+            if dataset.size > 0 and dataset.supports_inplace_writes
         ]
         if config.target_slice is not None:
-            locations = [
-                loc for loc in locations
-                if handle[loc].shape
-                and config.target_slice < handle[loc].shape[0]
+            datasets = [
+                dataset for dataset in datasets
+                if dataset.shape and config.target_slice < dataset.shape[0]
             ]
-        if not locations:
+        if not datasets:
             raise CorruptionError("no corruptible datasets in checkpoint")
 
-        attempts = resolve_attempts(config, count_entries(handle, locations))
-        datasets = [handle[loc] for loc in locations]
+        locations = [dataset.name for dataset in datasets]
+        attempts = resolve_attempts(
+            config, sum(dataset.size for dataset in datasets))
         targets = [dataset_target(dataset, config) for dataset in datasets]
         plan = sample_plan(self.rng, config, targets, attempts)
         records, counters = apply_plan(plan, DatasetStore(datasets),

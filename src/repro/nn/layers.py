@@ -421,6 +421,7 @@ class BatchNorm2D(Layer):
                 self.momentum * self.state["running_var"].astype(compute, copy=False)
                 + (1 - self.momentum) * var
             ).astype(self.policy.param_dtype, copy=False)
+            self._clear_nan_signs()
         else:
             mean = self.state["running_mean"].astype(compute, copy=False)
             var = self.state["running_var"].astype(compute, copy=False)
@@ -433,6 +434,17 @@ class BatchNorm2D(Layer):
         np.add(out, self._param("beta")[None, :, None, None], out=out)
         self._cache = (x_hat, std)
         return out
+
+    def _clear_nan_signs(self):
+        # A NaN's sign bit depends on which operand the arithmetic picked
+        # it up from, and that differs between the sequential and the
+        # trial-axis reductions; the running stats are checkpointed state,
+        # so store every NaN with its sign cleared in both.
+        for key in ("running_mean", "running_var"):
+            stat = self.state[key]
+            nan = np.isnan(stat)
+            if nan.any():
+                np.copyto(stat, np.abs(stat), where=nan)
 
     def _forward_stacked(self, x, training):
         # (T, N, C, H, W): batch statistics reduce over (N, H, W) per trial,
@@ -453,6 +465,7 @@ class BatchNorm2D(Layer):
                 self.momentum * self.state["running_var"].astype(compute, copy=False)
                 + (1 - self.momentum) * var
             ).astype(self.policy.param_dtype, copy=False)
+            self._clear_nan_signs()
         else:
             mean = self.state["running_mean"].astype(compute, copy=False)
             var = self.state["running_var"].astype(compute, copy=False)

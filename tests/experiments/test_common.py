@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from repro import hdf5
+from repro.data import synthetic_cifar10
+from repro.experiments import common
 from repro.experiments.common import (
     BaselineCache,
     SCALES,
     SessionSpec,
     corrupted_copy,
     get_scale,
+    make_dataset,
     resume_training,
     weights_root,
 )
+from repro.nn.rng import seed_all
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,43 @@ class TestResume:
             f.datasets()[0].write_flat(0, 999.0)
         with hdf5.File(baseline.checkpoint_path, "r") as f:
             assert f.datasets()[0].read_flat(0) != 999.0
+
+
+class TestMakeDataset:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(common, "_DATASETS", {})
+
+    def test_repeat_call_returns_equal_read_only_arrays(self, spec):
+        seed_all(spec.seed)
+        train, test = make_dataset(spec)
+        again_train, again_test = make_dataset(spec)
+        fresh_train, fresh_test = synthetic_cifar10(
+            spec.scale.train_size, spec.scale.test_size,
+            spec.scale.model_image_size(spec.model))
+        for split, again, fresh in ((train, again_train, fresh_train),
+                                    (test, again_test, fresh_test)):
+            for name in ("images", "labels"):
+                array = getattr(split, name)
+                assert getattr(again, name) is array  # built once
+                assert array.tobytes() == getattr(fresh, name).tobytes()
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_another_seed_gives_different_data(self, spec):
+        seed_all(spec.seed)
+        first, _ = make_dataset(spec)
+        seed_all(spec.seed + 1)
+        second, _ = make_dataset(spec)
+        assert first.images.tobytes() != second.images.tobytes()
+        assert len(common._DATASETS) == 2
+
+    def test_memo_stays_at_its_bound(self, spec):
+        for offset in range(common.DATASET_MEMO_SIZE + 2):
+            seed_all(spec.seed + offset)
+            make_dataset(spec)
+        assert len(common._DATASETS) == common.DATASET_MEMO_SIZE
 
 
 def test_weights_root_known_frameworks():
