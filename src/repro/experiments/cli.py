@@ -305,7 +305,7 @@ def serve_command(args: argparse.Namespace) -> int:
             kwargs={"owner": f"worker-{index}", "poll": args.poll,
                     "lease_ttl": args.lease_ttl,
                     "shard_size": args.shard_size,
-                    "stop_file": stop_file},
+                    "stop_file": stop_file, "processes": args.workers},
             name=f"serve-worker-{index}")
         process.start()
         workers.append(process)

@@ -41,6 +41,7 @@ from typing import Callable, Iterable
 
 from .. import telemetry
 from ..analysis.campaign import CampaignStats
+from ..batched.cpu import cpu_share, limit_blas_threads, trial_processes
 from ..health.outcome import classify_trial_record
 
 log = logging.getLogger("repro.experiments.runner")
@@ -416,11 +417,12 @@ def _run_chunk(chunk: _Chunk) -> list[dict]:
 
     The registries are read here, at dispatch, not at import, so an entry
     swapped after this module loaded (a benchmark's timing wrapper) is
-    the one that runs.
+    the one that runs.  OpenBLAS runs at most this process's CPU share of
+    threads for the chunk (a lone process keeps its count).
     """
     kind = chunk.tasks[0].kind
     payloads = [_dispatch_payload(task) for task in chunk.tasks]
-    with telemetry.activate(chunk.span):
+    with telemetry.activate(chunk.span), limit_blas_threads(cpu_share()):
         if not chunk.batched:
             return [get_trial_kind(kind)(payloads[0])]
         outcomes = BATCH_TRIAL_KINDS[kind].func(payloads)
@@ -430,16 +432,20 @@ def _run_chunk(chunk: _Chunk) -> list[dict]:
     return outcomes
 
 
-def _child_main(conn, chunk: _Chunk) -> None:
+def _child_main(conn, chunk: _Chunk, workers: int) -> None:
     """Forked entry point: run *chunk*, ship its outcomes over the pipe.
 
     The chunk's span comes through ``fork`` with the rest of the parent's
     memory; :func:`_run_chunk` activates it, so every span the trials open
     (``inject``, ``train``, ``hdf5.open``) is a descendant of the
     parent-side ``trial``/``trial_batch`` span in the merged event stream.
+    Up to *workers* children run at once, so each gets that fraction of
+    the CPUs.
     """
     try:
-        conn.send(("ok", _run_chunk(chunk)))
+        with trial_processes(workers):
+            outcomes = _run_chunk(chunk)
+        conn.send(("ok", outcomes))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc(limit=8)))
@@ -565,7 +571,7 @@ def _execute(chunks: list[_Chunk], journal: Journal | None, workers: int,
                 continue
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             chunk.process = ctx.Process(target=_child_main,
-                                        args=(child_conn, chunk))
+                                        args=(child_conn, chunk, workers))
             chunk.process.start()
             child_conn.close()
             chunk.conn = parent_conn

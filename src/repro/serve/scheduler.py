@@ -37,6 +37,7 @@ import os
 import time
 
 from .. import telemetry
+from ..batched.cpu import trial_processes
 from ..experiments.runner import run_campaign
 from .shards import Heartbeat, manifest_tasks
 from .store import CampaignStore
@@ -225,14 +226,18 @@ def run_worker(root: str, *, owner: str | None = None, poll: float = 0.2,
                lease_ttl: float = 30.0, shard_size: int = 8,
                drain: bool = False, stop_file: str | None = None,
                max_units: int | None = None,
-               shard_telemetry: bool = True) -> int:
+               shard_telemetry: bool = True, processes: int = 1) -> int:
     """Top-level worker entry point (picklable; ``Process(target=...)``).
 
     Builds its own store handle over *root* — workers share nothing but
     the filesystem, which is what lets them run on any host that mounts
-    the campaign root.
+    the campaign root.  *processes* is how many workers the launcher runs
+    at once on this host; the worker's trials use that fraction of its
+    CPUs (:func:`repro.batched.cpu.cpu_share`).
     """
     store = CampaignStore(root, shard_size=shard_size, lease_ttl=lease_ttl)
     worker = ServeWorker(store, owner=owner, poll=poll,
                          shard_telemetry=shard_telemetry)
-    return worker.run(drain=drain, stop_file=stop_file, max_units=max_units)
+    with trial_processes(processes):
+        return worker.run(drain=drain, stop_file=stop_file,
+                          max_units=max_units)

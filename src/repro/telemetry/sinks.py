@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 
 class Sink:
@@ -91,6 +92,10 @@ class JsonlSink(Sink):
     for the per-shard telemetry tee, whose shard is re-run and re-traced
     by the next lease holder anyway.  Default is unbuffered: one write
     per event, nothing lost on crash.
+
+    Threads of one process emit under a per-sink lock; a forked child
+    replaces it, since the inherited one may be held by a parent thread
+    that does not exist in the child.
     """
 
     def __init__(self, path: str, buffer_bytes: int = 0):
@@ -100,9 +105,21 @@ class JsonlSink(Sink):
         os.makedirs(parent, exist_ok=True)
         self._handle = None
         self._pid = -1
+        self._lock = threading.Lock()
         self._buffer: list[bytes] = []
         self._buffered = 0
         self._buffer_pid = os.getpid()
+
+    def _check_fork(self) -> threading.Lock:
+        """This process's lock, after dropping what ``fork`` inherited."""
+        if self._buffer_pid != os.getpid():
+            # the inherited buffer holds the parent's lines; the parent
+            # will flush them itself
+            self._lock = threading.Lock()
+            self._buffer = []
+            self._buffered = 0
+            self._buffer_pid = os.getpid()
+        return self._lock
 
     def _ensure_handle(self):
         # A forked child inherits this sink object; sharing the parent's
@@ -116,29 +133,30 @@ class JsonlSink(Sink):
     def emit(self, event: dict) -> None:
         line = json.dumps(event, allow_nan=True,
                           sort_keys=True).encode("utf-8") + b"\n"
-        if self.buffer_bytes <= 0:
-            # one write(2) per event: O_APPEND keeps concurrent lines whole
-            self._ensure_handle().write(line)
-            return
-        if self._buffer_pid != os.getpid():
-            # inherited buffer holds the parent's lines; the parent will
-            # flush them itself
-            self._buffer = []
-            self._buffered = 0
-            self._buffer_pid = os.getpid()
-        self._buffer.append(line)
-        self._buffered += len(line)
-        if self._buffered >= self.buffer_bytes:
-            self.flush()
+        with self._check_fork():
+            if self.buffer_bytes <= 0:
+                # one write(2) per event: O_APPEND keeps concurrent lines
+                # whole
+                self._ensure_handle().write(line)
+                return
+            self._buffer.append(line)
+            self._buffered += len(line)
+            if self._buffered >= self.buffer_bytes:
+                self._write_buffer()
 
     def flush(self) -> None:
-        if self._buffer and self._buffer_pid == os.getpid():
+        with self._check_fork():
+            self._write_buffer()
+
+    def _write_buffer(self) -> None:
+        if self._buffer:
             self._ensure_handle().write(b"".join(self._buffer))
             self._buffer = []
             self._buffered = 0
 
     def close(self) -> None:
-        self.flush()
-        if self._handle is not None and self._pid == os.getpid():
-            self._handle.close()
-        self._handle = None
+        with self._check_fork():
+            self._write_buffer()
+            if self._handle is not None and self._pid == os.getpid():
+                self._handle.close()
+            self._handle = None
